@@ -25,37 +25,46 @@ import (
 // (internal/runtime/train) runs those over arena-planned buffers, so a
 // steady-state training step allocates no tensors.  The allocating functions
 // are thin wrappers over the *Into variants, which keeps the two paths
-// bit-identical.  Work is distributed by atomic plane counters with a fixed
-// per-element accumulation order, so results do not depend on the worker
-// count.
+// bit-identical.  Like the forward direct convolution, the conv and pooling
+// kernels read each operand's layout strides once per call and index the
+// raw Data slices, with tap ranges clipped up front.  Work is distributed by
+// atomic plane counters with a fixed per-element accumulation order, so
+// results do not depend on the worker count.
 
-// parallelPlanes runs work(p) for p in [0, planes) across GOMAXPROCS workers.
-// Each plane is processed by exactly one worker, so kernels that assign each
-// output element to one plane stay bit-deterministic for any worker count.
+// planeKernel is one kernel call split into independent planes: plane(p)
+// writes output elements that no other plane writes.
+type planeKernel interface{ plane(p int) }
+
+// parallelPlanes runs k.plane(p) for p in [0, planes) across GOMAXPROCS
+// workers that claim planes from an atomic counter.  Each plane is processed
+// by exactly one worker, so kernels that assign each output element to one
+// plane stay bit-deterministic for any worker count.  The kernel is passed
+// by value and copied to the heap only on the parallel path, so a
+// single-worker run allocates nothing.
 //
 //memcnn:noalloc
-func parallelPlanes(planes int, work func(p int)) {
-	var next atomic.Int64
-	drain := func() { //memcnn:alloc-ok
-		for {
-			p := next.Add(1) - 1
-			if p >= int64(planes) {
-				return
-			}
-			work(int(p))
-		}
-	}
+func parallelPlanes[K planeKernel](planes int, k K) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers <= 1 || planes <= 1 {
-		drain()
+		for p := 0; p < planes; p++ {
+			k.plane(p)
+		}
 		return
 	}
+	shared := k // captured instead of k, so only this path moves it to the heap
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() { //memcnn:alloc-ok
 			defer wg.Done()
-			drain()
+			for {
+				p := next.Add(1) - 1
+				if p >= int64(planes) {
+					return
+				}
+				shared.plane(int(p))
+			}
 		}()
 	}
 	wg.Wait()
@@ -99,40 +108,59 @@ func ConvBackwardDataInto(dOut, filters, dIn *tensor.Tensor, cfg ConvConfig) err
 	if dIn.Shape != cfg.InputShape() {
 		return fmt.Errorf("kernels: backward-data dIn shape %v does not match config %v", dIn.Shape, cfg.InputShape())
 	}
-	outH, outW := cfg.OutH(), cfg.OutW()
-	parallelPlanes(cfg.N*cfg.C, func(p int) { //memcnn:alloc-ok
-		n, c := p/cfg.C, p%cfg.C
-		for ih := 0; ih < cfg.H; ih++ {
-			for iw := 0; iw < cfg.W; iw++ {
-				var acc float64
-				for k := 0; k < cfg.K; k++ {
-					for fh := 0; fh < cfg.FH; fh++ {
-						ohNum := ih + cfg.PadH - fh
-						if ohNum < 0 || ohNum%cfg.StrideH != 0 {
-							continue
-						}
-						oh := ohNum / cfg.StrideH
-						if oh >= outH {
-							continue
-						}
-						for fw := 0; fw < cfg.FW; fw++ {
-							owNum := iw + cfg.PadW - fw
-							if owNum < 0 || owNum%cfg.StrideW != 0 {
-								continue
-							}
-							ow := owNum / cfg.StrideW
-							if ow >= outW {
-								continue
-							}
-							acc += float64(dOut.At(n, k, oh, ow)) * float64(filters.At(k, c, fh, fw))
-						}
+	parallelPlanes(cfg.N*cfg.C, convBackwardData{cfg: cfg, outH: cfg.OutH(), outW: cfg.OutW(),
+		dOut: stridesOf(dOut), f: stridesOf(filters), dIn: stridesOf(dIn)})
+	return nil
+}
+
+// convBackwardData is one backward-data call with its strides hoisted.
+type convBackwardData struct {
+	cfg          ConvConfig
+	outH, outW   int
+	dOut, f, dIn strided
+}
+
+// scatterTaps lists the filter taps that input coordinate i receives
+// gradient from: taps lo, lo+stride, ... below hi, where tap lo reads output
+// coordinate o0 and each further tap the output one before.
+func scatterTaps(i, stride, pad, f, outSize int) (o0, lo, hi int) {
+	num := i + pad // the output coordinate times stride, plus the tap
+	lo = num - (outSize-1)*stride
+	if lo < 0 {
+		lo = 0
+	}
+	lo += (num - lo) % stride
+	hi = num + 1
+	if hi > f {
+		hi = f
+	}
+	return (num - lo) / stride, lo, hi
+}
+
+// plane computes the (n, c) input-gradient feature map.
+func (b convBackwardData) plane(p int) {
+	cfg, dOut, f, dIn := &b.cfg, &b.dOut, &b.f, &b.dIn
+	n, c := p/cfg.C, p%cfg.C
+	sh, sw := cfg.StrideH, cfg.StrideW
+	for ih := 0; ih < cfg.H; ih++ {
+		oh0, fhLo, fhHi := scatterTaps(ih, sh, cfg.PadH, cfg.FH, b.outH)
+		for iw := 0; iw < cfg.W; iw++ {
+			ow0, fwLo, fwHi := scatterTaps(iw, sw, cfg.PadW, cfg.FW, b.outW)
+			var acc float64
+			for k := 0; k < cfg.K; k++ {
+				for fh, oh := fhLo, oh0; fh < fhHi; fh, oh = fh+sh, oh-1 {
+					gp := n*dOut.n + k*dOut.c + oh*dOut.h + ow0*dOut.w
+					fp := k*f.n + c*f.c + fh*f.h + fwLo*f.w
+					for fw := fwLo; fw < fwHi; fw += sw {
+						acc += float64(dOut.data[gp]) * float64(f.data[fp])
+						gp -= dOut.w
+						fp += sw * f.w
 					}
 				}
-				dIn.Set(n, c, ih, iw, float32(acc))
 			}
+			dIn.data[n*dIn.n+c*dIn.c+ih*dIn.h+iw*dIn.w] = float32(acc)
 		}
-	})
-	return nil
+	}
 }
 
 // ConvBackwardFilter computes the gradient of the convolution with respect to
@@ -171,32 +199,58 @@ func ConvBackwardFilterInto(in, dOut, dW *tensor.Tensor, cfg ConvConfig) error {
 	if dW.Shape != cfg.FilterShape() {
 		return fmt.Errorf("kernels: backward-filter dW shape %v does not match config %v", dW.Shape, cfg.FilterShape())
 	}
-	outH, outW := cfg.OutH(), cfg.OutW()
-	parallelPlanes(cfg.K*cfg.C, func(p int) { //memcnn:alloc-ok
-		k, c := p/cfg.C, p%cfg.C
-		for fh := 0; fh < cfg.FH; fh++ {
-			for fw := 0; fw < cfg.FW; fw++ {
-				var acc float64
-				for n := 0; n < cfg.N; n++ {
-					for oh := 0; oh < outH; oh++ {
-						ih := oh*cfg.StrideH - cfg.PadH + fh
-						if ih < 0 || ih >= cfg.H {
-							continue
-						}
-						for ow := 0; ow < outW; ow++ {
-							iw := ow*cfg.StrideW - cfg.PadW + fw
-							if iw < 0 || iw >= cfg.W {
-								continue
-							}
-							acc += float64(dOut.At(n, k, oh, ow)) * float64(in.At(n, c, ih, iw))
-						}
+	parallelPlanes(cfg.K*cfg.C, convBackwardFilter{cfg: cfg, outH: cfg.OutH(), outW: cfg.OutW(),
+		in: stridesOf(in), dOut: stridesOf(dOut), dW: stridesOf(dW)})
+	return nil
+}
+
+// convBackwardFilter is one grad-filter call with its strides hoisted.
+type convBackwardFilter struct {
+	cfg          ConvConfig
+	outH, outW   int
+	in, dOut, dW strided
+}
+
+// outRange returns the outputs [lo, hi) whose filter tap f reads an input
+// coordinate inside [0, size); hi <= lo when no output does.
+func outRange(f, stride, pad, size, outSize int) (lo, hi int) {
+	if over := pad - f; over > 0 {
+		lo = (over + stride - 1) / stride
+	}
+	if num := size - 1 + pad - f; num >= 0 {
+		hi = num/stride + 1
+		if hi > outSize {
+			hi = outSize
+		}
+	}
+	return lo, hi
+}
+
+// plane computes the (k, c) filter-gradient plane.
+func (b convBackwardFilter) plane(p int) {
+	cfg, in, dOut, dW := &b.cfg, &b.in, &b.dOut, &b.dW
+	k, c := p/cfg.C, p%cfg.C
+	for fh := 0; fh < cfg.FH; fh++ {
+		ohLo, ohHi := outRange(fh, cfg.StrideH, cfg.PadH, cfg.H, b.outH)
+		for fw := 0; fw < cfg.FW; fw++ {
+			owLo, owHi := outRange(fw, cfg.StrideW, cfg.PadW, cfg.W, b.outW)
+			var acc float64
+			for n := 0; n < cfg.N; n++ {
+				for oh := ohLo; oh < ohHi; oh++ {
+					ih := oh*cfg.StrideH - cfg.PadH + fh
+					iw := owLo*cfg.StrideW - cfg.PadW + fw
+					gp := n*dOut.n + k*dOut.c + oh*dOut.h + owLo*dOut.w
+					ip := n*in.n + c*in.c + ih*in.h + iw*in.w
+					for ow := owLo; ow < owHi; ow++ {
+						acc += float64(dOut.data[gp]) * float64(in.data[ip])
+						gp += dOut.w
+						ip += cfg.StrideW * in.w
 					}
 				}
-				dW.Set(k, c, fh, fw, float32(acc))
 			}
+			dW.data[k*dW.n+c*dW.c+fh*dW.h+fw*dW.w] = float32(acc)
 		}
-	})
-	return nil
+	}
 }
 
 // ConvBackwardDataCHWNCost models the backward-data pass of the direct
@@ -301,41 +355,58 @@ func PoolBackwardInto(in, dOut, dIn *tensor.Tensor, cfg PoolConfig) error {
 	if dIn.Shape != cfg.InputShape() {
 		return fmt.Errorf("kernels: pool backward dIn shape %v does not match config %v", dIn.Shape, cfg.InputShape())
 	}
-	outH, outW := cfg.OutH(), cfg.OutW()
-	parallelPlanes(cfg.N*cfg.C, func(p int) { //memcnn:alloc-ok
-		n, c := p/cfg.C, p%cfg.C
-		for h := 0; h < cfg.H; h++ {
-			for w := 0; w < cfg.W; w++ {
-				dIn.Set(n, c, h, w, 0)
-			}
-		}
-		for oh := 0; oh < outH; oh++ {
-			for ow := 0; ow < outW; ow++ {
-				g := dOut.At(n, c, oh, ow)
-				h0, w0 := oh*cfg.Stride, ow*cfg.Stride
-				if cfg.Op == AvgPool {
-					share := g / float32(cfg.Window*cfg.Window)
-					for y := 0; y < cfg.Window; y++ {
-						for x := 0; x < cfg.Window; x++ {
-							dIn.Set(n, c, h0+y, w0+x, dIn.At(n, c, h0+y, w0+x)+share)
-						}
-					}
-					continue
-				}
-				bestY, bestX := 0, 0
-				best := in.At(n, c, h0, w0)
-				for y := 0; y < cfg.Window; y++ {
-					for x := 0; x < cfg.Window; x++ {
-						if v := in.At(n, c, h0+y, w0+x); v > best {
-							best, bestY, bestX = v, y, x
-						}
-					}
-				}
-				dIn.Set(n, c, h0+bestY, w0+bestX, dIn.At(n, c, h0+bestY, w0+bestX)+g)
-			}
-		}
-	})
+	parallelPlanes(cfg.N*cfg.C, poolBackward{cfg: cfg, outH: cfg.OutH(), outW: cfg.OutW(),
+		in: stridesOf(in), dOut: stridesOf(dOut), dIn: stridesOf(dIn)})
 	return nil
+}
+
+// poolBackward is one pool-backward call with its strides hoisted.
+type poolBackward struct {
+	cfg           PoolConfig
+	outH, outW    int
+	in, dOut, dIn strided
+}
+
+// plane zeroes and then accumulates the (n, c) input-gradient feature map.
+func (b poolBackward) plane(p int) {
+	cfg, in, dOut, dIn := &b.cfg, &b.in, &b.dOut, &b.dIn
+	n, c := p/cfg.C, p%cfg.C
+	base, gBase, inBase := n*dIn.n+c*dIn.c, n*dOut.n+c*dOut.c, n*in.n+c*in.c
+	for h := 0; h < cfg.H; h++ {
+		for w := 0; w < cfg.W; w++ {
+			dIn.data[base+h*dIn.h+w*dIn.w] = 0
+		}
+	}
+	win := cfg.Window
+	for oh := 0; oh < b.outH; oh++ {
+		for ow := 0; ow < b.outW; ow++ {
+			g := dOut.data[gBase+oh*dOut.h+ow*dOut.w]
+			h0, w0 := oh*cfg.Stride, ow*cfg.Stride
+			if cfg.Op == AvgPool {
+				share := g / float32(win*win)
+				for y := 0; y < win; y++ {
+					q := base + (h0+y)*dIn.h + w0*dIn.w
+					for x := 0; x < win; x++ {
+						dIn.data[q] += share
+						q += dIn.w
+					}
+				}
+				continue
+			}
+			bestY, bestX := 0, 0
+			best := in.data[inBase+h0*in.h+w0*in.w]
+			for y := 0; y < win; y++ {
+				q := inBase + (h0+y)*in.h + w0*in.w
+				for x := 0; x < win; x++ {
+					if v := in.data[q]; v > best {
+						best, bestY, bestX = v, y, x
+					}
+					q += in.w
+				}
+			}
+			dIn.data[base+(h0+bestY)*dIn.h+(w0+bestX)*dIn.w] += g
+		}
+	}
 }
 
 // PoolBackwardCost models the pooling backward kernel: it reads the incoming

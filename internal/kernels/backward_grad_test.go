@@ -289,3 +289,35 @@ func TestBackwardIntoDeterminism(t *testing.T) {
 	cmp("conv-bwd-filter", w1.Data, w2.Data)
 	cmp("pool-bwd", p1.Data, p2.Data)
 }
+
+// TestDirectKernelsSerialAllocFree pins the single-worker contract of
+// parallelPlanes: with GOMAXPROCS=1 the direct conv and pooling kernels,
+// forward and backward, in both the per-image and the images-innermost
+// forms, allocate nothing.
+func TestDirectKernelsSerialAllocFree(t *testing.T) {
+	cfg := ConvConfig{N: 5, C: 2, H: 9, W: 9, K: 3, FH: 3, FW: 3, PadH: 1, PadW: 1}
+	pcfg := PoolConfig{N: 5, C: 2, H: 9, W: 9, Window: 3, Stride: 2, Op: MaxPool}
+	defer gort.GOMAXPROCS(gort.GOMAXPROCS(1))
+	for _, l := range []tensor.Layout{tensor.NCHW, tensor.CHWN} {
+		in := tensor.Random(cfg.InputShape(), l, 1)
+		filters := tensor.Filters(cfg.K, cfg.C, cfg.FH, cfg.FW, 2)
+		out := tensor.New(cfg.OutputShape(), l)
+		dIn := tensor.New(cfg.InputShape(), l)
+		dW := tensor.New(cfg.FilterShape(), tensor.NCHW)
+		pin := tensor.Random(pcfg.InputShape(), l, 3)
+		pout := tensor.New(pcfg.OutputShape(), l)
+		pdIn := tensor.New(pcfg.InputShape(), l)
+		allocs := testing.AllocsPerRun(10, func() {
+			if ConvDirectInto(in, filters, out, cfg) != nil ||
+				ConvBackwardDataInto(out, filters, dIn, cfg) != nil ||
+				ConvBackwardFilterInto(in, out, dW, cfg) != nil ||
+				PoolInto(pin, pout, pcfg) != nil ||
+				PoolBackwardInto(pin, pout, pdIn, pcfg) != nil {
+				t.Fatal("kernel failed")
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%v: serial direct kernels allocate %.1f objects per call, want 0", l, allocs)
+		}
+	}
+}

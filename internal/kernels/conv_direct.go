@@ -2,21 +2,58 @@ package kernels
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"memcnn/internal/gpusim"
 	"memcnn/internal/tensor"
 )
 
-// Direct convolution: the cuda-convnet implementation strategy for the CHWN
-// layout (Section II.B / IV.A).  Each thread block processes a tile of output
-// pixels for a group of filters and a group of 32·imagesPerThread images; the
-// batch dimension N is innermost in memory, so the 32 threads of a warp read
-// 32 consecutive images and every global access is coalesced.  Each thread
-// additionally keeps imagesPerThread images in registers, which is what makes
-// the kernel's throughput so sensitive to N (Fig. 4a).
+// Direct convolution.  On the GPU this is the cuda-convnet strategy for the
+// CHWN layout (Section II.B / IV.A): each thread block processes a tile of
+// output pixels for a group of filters and a group of 32·imagesPerThread
+// images; the batch dimension N is innermost in memory, so the 32 threads of
+// a warp read 32 consecutive images and every global access is coalesced.
+// Each thread additionally keeps imagesPerThread images in registers, which
+// is what makes the kernel's throughput so sensitive to N (Fig. 4a).
+//
+// The CPU kernel below keeps the same two ideas.  Every operand's layout
+// strides are read once per call and the raw Data slices are indexed
+// directly, with each output position's filter-tap range clipped at the
+// padding edges up front, so the multiply-accumulate loop carries no bounds
+// test and no layout switch.  When input and output both keep images
+// innermost (N-stride 1, as in CHWN and HWCN), the kernel walks (filter,
+// output-row) planes and computes four consecutive images at once in four
+// independent accumulators: each filter value is loaded once and used four
+// times, the CPU analogue of cuda-convnet's per-thread image registers, and
+// the four image loads are adjacent in memory.  Every output element is
+// still accumulated by one worker in float64, in ascending c→fh→fw order, so
+// the result is bit-identical for every layout, blocking and worker count.
+
+// strided is a tensor operand s with its layout strides hoisted: element
+// (n, c, h, w) lives at s.data[n*s.n + c*s.c + h*s.h + w*s.w].
+type strided struct {
+	data       []float32
+	n, c, h, w int
+}
+
+func stridesOf(t *tensor.Tensor) strided {
+	sn, sc, sh, sw := t.Shape.Strides(t.Layout)
+	return strided{data: t.Data, n: sn, c: sc, h: sh, w: sw}
+}
+
+// tapRange clips the filter taps of output position o to the input: taps
+// [lo, hi) of a filter of extent f read input coordinates i0+lo .. i0+hi-1,
+// all inside [0, size).  hi <= lo when the window lies wholly in padding.
+func tapRange(o, stride, pad, f, size int) (i0, lo, hi int) {
+	i0 = o*stride - pad
+	lo, hi = 0, f
+	if i0 < 0 {
+		lo = -i0
+	}
+	if i0+f > size {
+		hi = size - i0
+	}
+	return i0, lo, hi
+}
 
 // ConvDirect is the functional reference convolution (cross-correlation, as
 // in Equation 1 of the paper).  It accepts input tensors in any layout and
@@ -54,58 +91,96 @@ func ConvDirectInto(in, filters, out *tensor.Tensor, cfg ConvConfig) error {
 	if out.Shape != cfg.OutputShape() {
 		return fmt.Errorf("kernels: conv output shape %v does not match config %v", out.Shape, cfg.OutputShape())
 	}
-	outH, outW := cfg.OutH(), cfg.OutW()
+	d := directConv{cfg: cfg, outH: cfg.OutH(), outW: cfg.OutW(),
+		in: stridesOf(in), f: stridesOf(filters), out: stridesOf(out)}
+	if d.in.n == 1 && d.out.n == 1 { // images innermost in input and output
+		parallelPlanes(cfg.K*d.outH, directConvImagesInner{d})
+		return nil
+	}
+	parallelPlanes(cfg.N*cfg.K, d)
+	return nil
+}
 
-	// Work is distributed by an atomic (n,k) plane counter rather than a job
-	// channel so the hot path performs no allocation; a single-worker run
-	// stays inline and allocation free.
-	var next atomic.Int64
-	planes := int64(cfg.N * cfg.K)
-	plane := func() { //memcnn:alloc-ok
-		for {
-			p := next.Add(1) - 1
-			if p >= planes {
-				return
-			}
-			n, k := int(p)/cfg.K, int(p)%cfg.K
-			for oh := 0; oh < outH; oh++ {
-				for ow := 0; ow < outW; ow++ {
-					var acc float64
-					for c := 0; c < cfg.C; c++ {
-						for fh := 0; fh < cfg.FH; fh++ {
-							ih := oh*cfg.StrideH - cfg.PadH + fh
-							if ih < 0 || ih >= cfg.H {
-								continue
-							}
-							for fw := 0; fw < cfg.FW; fw++ {
-								iw := ow*cfg.StrideW - cfg.PadW + fw
-								if iw < 0 || iw >= cfg.W {
-									continue
-								}
-								acc += float64(in.At(n, c, ih, iw)) * float64(filters.At(k, c, fh, fw))
-							}
-						}
-					}
-					out.Set(n, k, oh, ow, float32(acc))
-				}
+// directConv is one direct-convolution call with its strides hoisted.
+type directConv struct {
+	cfg        ConvConfig
+	outH, outW int
+	in, f, out strided
+}
+
+// dot accumulates one output element of filter k over taps
+// [fhLo, fhHi) × [fwLo, fwHi); ib is the input offset of tap (0, 0), which
+// may lie in the padding.
+func (d *directConv) dot(ib, k, fhLo, fhHi, fwLo, fwHi int) float64 {
+	in, f := &d.in, &d.f
+	var acc float64
+	for c := 0; c < d.cfg.C; c++ {
+		for fh := fhLo; fh < fhHi; fh++ {
+			ip := ib + c*in.c + fh*in.h + fwLo*in.w
+			fp := k*f.n + c*f.c + fh*f.h + fwLo*f.w
+			for fw := fwLo; fw < fwHi; fw++ {
+				acc += float64(in.data[ip]) * float64(f.data[fp])
+				ip += in.w
+				fp += f.w
 			}
 		}
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers <= 1 {
-		plane()
-		return nil
+	return acc
+}
+
+// plane computes the (n, k) output feature map.
+func (d directConv) plane(p int) {
+	cfg, in, out := &d.cfg, &d.in, &d.out
+	n, k := p/cfg.K, p%cfg.K
+	for oh := 0; oh < d.outH; oh++ {
+		ih0, fhLo, fhHi := tapRange(oh, cfg.StrideH, cfg.PadH, cfg.FH, cfg.H)
+		for ow := 0; ow < d.outW; ow++ {
+			iw0, fwLo, fwHi := tapRange(ow, cfg.StrideW, cfg.PadW, cfg.FW, cfg.W)
+			acc := d.dot(n*in.n+ih0*in.h+iw0*in.w, k, fhLo, fhHi, fwLo, fwHi)
+			out.data[n*out.n+k*out.c+oh*out.h+ow*out.w] = float32(acc)
+		}
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() { //memcnn:alloc-ok
-			defer wg.Done()
-			plane()
-		}()
+}
+
+// directConvImagesInner is the images-innermost form of directConv: plane p
+// is output row (k, oh) for every image, computed four images at a time with
+// the remainder one by one.
+type directConvImagesInner struct{ directConv }
+
+func (d directConvImagesInner) plane(p int) {
+	cfg, in, f, out := &d.cfg, &d.in, &d.f, &d.out
+	k, oh := p/d.outH, p%d.outH
+	ih0, fhLo, fhHi := tapRange(oh, cfg.StrideH, cfg.PadH, cfg.FH, cfg.H)
+	for ow := 0; ow < d.outW; ow++ {
+		iw0, fwLo, fwHi := tapRange(ow, cfg.StrideW, cfg.PadW, cfg.FW, cfg.W)
+		ib := ih0*in.h + iw0*in.w
+		o := k*out.c + oh*out.h + ow*out.w
+		n := 0
+		for ; n+4 <= cfg.N; n += 4 {
+			var a0, a1, a2, a3 float64
+			for c := 0; c < cfg.C; c++ {
+				for fh := fhLo; fh < fhHi; fh++ {
+					ip := ib + n + c*in.c + fh*in.h + fwLo*in.w
+					fp := k*f.n + c*f.c + fh*f.h + fwLo*f.w
+					for fw := fwLo; fw < fwHi; fw++ {
+						x := in.data[ip : ip+4 : ip+4]
+						w := float64(f.data[fp])
+						a0 += float64(x[0]) * w
+						a1 += float64(x[1]) * w
+						a2 += float64(x[2]) * w
+						a3 += float64(x[3]) * w
+						ip += in.w
+						fp += f.w
+					}
+				}
+			}
+			y := out.data[o+n : o+n+4 : o+n+4]
+			y[0], y[1], y[2], y[3] = float32(a0), float32(a1), float32(a2), float32(a3)
+		}
+		for ; n < cfg.N; n++ {
+			out.data[o+n] = float32(d.dot(ib+n, k, fhLo, fhHi, fwLo, fwHi))
+		}
 	}
-	wg.Wait()
-	return nil
 }
 
 // Blocking parameters of the modelled cuda-convnet direct-convolution kernel.

@@ -127,7 +127,7 @@ func ConvIm2colGemmInto(in *tensor.Tensor, packed []float32, out *tensor.Tensor,
 	sn, sc, sh, sw := in.Shape.Strides(in.Layout)
 	on, oc, ohs, ows := out.Shape.Strides(out.Layout)
 	for n := 0; n < cfg.N; n++ {
-		im2colImage(in.Data, n*sn, sc, sh, sw, cfg, unroll)
+		im2colRows(in.Data, n*sn, sc, sh, sw, cfg, unroll, 0, kdim)
 		dst := prod
 		if directOut {
 			dst = out.Data[n*cfg.K*ohw : (n+1)*cfg.K*ohw]

@@ -308,3 +308,58 @@ func BenchmarkConvGemmSmall(b *testing.B) {
 		}
 	}
 }
+
+// LeNet's two convolutions (workloads.LeNet): conv1 at the inference batch,
+// conv2 at the training batch.
+var (
+	lenetConv1 = ConvConfig{N: 128, C: 1, H: 28, W: 28, K: 16, FH: 5, FW: 5, PadH: 2, PadW: 2}
+	lenetConv2 = ConvConfig{N: 32, C: 16, H: 14, W: 14, K: 16, FH: 5, FW: 5, PadH: 2, PadW: 2}
+)
+
+// BenchmarkConvDirect runs the LeNet conv1 forward in the images-innermost
+// layout (CHWN, the four-image block) and in NCHW (one image per plane).
+func BenchmarkConvDirect(b *testing.B) {
+	cfg := lenetConv1
+	for _, l := range []tensor.Layout{tensor.CHWN, tensor.NCHW} {
+		b.Run(l.String(), func(b *testing.B) {
+			in := tensor.Random(cfg.InputShape(), l, 1)
+			filters := tensor.Filters(cfg.K, cfg.C, cfg.FH, cfg.FW, 2)
+			out := tensor.New(cfg.OutputShape(), l)
+			b.SetBytes(int64(cfg.FLOPs())) // MB/s reads as MFLOP/s
+			for i := 0; i < b.N; i++ {
+				if err := ConvDirectInto(in, filters, out, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkConvBackwardData runs the LeNet conv2 input gradient in NCHW, the
+// training executor's layout.
+func BenchmarkConvBackwardData(b *testing.B) {
+	cfg := lenetConv2
+	dOut := tensor.Random(cfg.OutputShape(), tensor.NCHW, 1)
+	filters := tensor.Filters(cfg.K, cfg.C, cfg.FH, cfg.FW, 2)
+	dIn := tensor.New(cfg.InputShape(), tensor.NCHW)
+	b.SetBytes(int64(cfg.FLOPs()))
+	for i := 0; i < b.N; i++ {
+		if err := ConvBackwardDataInto(dOut, filters, dIn, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkConvBackwardFilter runs the LeNet conv2 filter gradient in NCHW.
+func BenchmarkConvBackwardFilter(b *testing.B) {
+	cfg := lenetConv2
+	in := tensor.Random(cfg.InputShape(), tensor.NCHW, 1)
+	dOut := tensor.Random(cfg.OutputShape(), tensor.NCHW, 2)
+	dW := tensor.New(cfg.FilterShape(), tensor.NCHW)
+	b.SetBytes(int64(cfg.FLOPs()))
+	for i := 0; i < b.N; i++ {
+		if err := ConvBackwardFilterInto(in, dOut, dW, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -78,40 +78,12 @@ func Im2col(in *tensor.Tensor, cfg ConvConfig) ([]float32, error) {
 	return out, nil
 }
 
-// im2colImage unrolls one image of the batch into dst, a row-major
-// (C·FH·FW) × (OutH·OutW) matrix, reading the input through explicit strides
-// so any layout is supported without per-element bounds checks.  base is the
-// linear offset of the image's first element; every dst element is written
-// (out-of-range taps with zero), so dst may hold garbage on entry.  The rows
-// are computed goroutine-parallel; each dst element is written exactly once,
-// and the values do not depend on the worker split.
-func im2colImage(data []float32, base, sc, sh, sw int, cfg ConvConfig, dst []float32) {
-	rows := cfg.C * cfg.FH * cfg.FW
-	workers := runtime.GOMAXPROCS(0)
-	if workers > rows {
-		workers = rows
-	}
-	if workers <= 1 {
-		im2colRows(data, base, sc, sh, sw, cfg, dst, 0, rows)
-		return
-	}
-	var wg sync.WaitGroup
-	for wkr := 0; wkr < workers; wkr++ {
-		lo := wkr * rows / workers
-		hi := (wkr + 1) * rows / workers
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			im2colRows(data, base, sc, sh, sw, cfg, dst, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// im2colRows fills rows [lo,hi) of the single-image unroll matrix.
+// im2colRows fills rows [lo,hi) of the single-image unroll matrix dst, a
+// row-major (C·FH·FW) × (OutH·OutW) matrix, reading the input through
+// explicit strides so any layout is supported without per-element bounds
+// checks.  base is the linear offset of the image's first element; every dst
+// element of the rows is written (out-of-range taps with zero), so dst may
+// hold garbage on entry.
 func im2colRows(data []float32, base, sc, sh, sw int, cfg ConvConfig, dst []float32, lo, hi int) {
 	outH, outW := cfg.OutH(), cfg.OutW()
 	ohw := outH * outW
@@ -132,19 +104,8 @@ func im2colRows(data []float32, base, sc, sh, sw int, cfg ConvConfig, dst []floa
 			}
 			// Valid ow range: 0 <= ow*StrideW - PadW + fw < W.  A wide filter
 			// tap can leave no valid column at all (fw beyond W+PadW-1, or
-			// every in-range ow swallowed by the left padding), so both
-			// bounds are clamped before any indexing.
-			owLo := 0
-			if over := cfg.PadW - fw; over > 0 {
-				owLo = (over + cfg.StrideW - 1) / cfg.StrideW
-			}
-			owHi := 0
-			if num := cfg.W - 1 + cfg.PadW - fw; num >= 0 {
-				owHi = num/cfg.StrideW + 1
-				if owHi > outW {
-					owHi = outW
-				}
-			}
+			// every in-range ow swallowed by the left padding).
+			owLo, owHi := outRange(fw, cfg.StrideW, cfg.PadW, cfg.W, outW)
 			if owLo >= owHi {
 				for i := range seg {
 					seg[i] = 0

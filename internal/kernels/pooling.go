@@ -5,7 +5,6 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"memcnn/internal/gpusim"
 	"memcnn/internal/tensor"
@@ -46,65 +45,55 @@ func PoolInto(in, out *tensor.Tensor, cfg PoolConfig) error {
 	if out.Shape != cfg.OutputShape() {
 		return fmt.Errorf("kernels: pool output shape %v does not match config %v", out.Shape, cfg.OutputShape())
 	}
-	outH, outW := cfg.OutH(), cfg.OutW()
-
-	// Work is distributed by an atomic (n,c) plane counter rather than a job
-	// channel so the hot path performs no allocation; a single-worker run
-	// stays inline and allocation free.
-	var next atomic.Int64
-	planes := int64(cfg.N * cfg.C)
-	plane := func() { //memcnn:alloc-ok
-		for {
-			p := next.Add(1) - 1
-			if p >= planes {
-				return
-			}
-			n, c := int(p)/cfg.C, int(p)%cfg.C
-			for oh := 0; oh < outH; oh++ {
-				for ow := 0; ow < outW; ow++ {
-					out.Set(n, c, oh, ow, poolWindow(in, cfg, n, c, oh, ow))
-				}
-			}
-		}
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers <= 1 {
-		plane()
-		return nil
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() { //memcnn:alloc-ok
-			defer wg.Done()
-			plane()
-		}()
-	}
-	wg.Wait()
+	parallelPlanes(cfg.N*cfg.C, pooler{cfg: cfg, outH: cfg.OutH(), outW: cfg.OutW(),
+		in: stridesOf(in), out: stridesOf(out)})
 	return nil
 }
 
-func poolWindow(in *tensor.Tensor, cfg PoolConfig, n, c, oh, ow int) float32 {
-	h0, w0 := oh*cfg.Stride, ow*cfg.Stride
-	switch cfg.Op {
-	case MaxPool:
-		best := in.At(n, c, h0, w0)
-		for y := 0; y < cfg.Window; y++ {
-			for x := 0; x < cfg.Window; x++ {
-				if v := in.At(n, c, h0+y, w0+x); v > best {
+// pooler is one pooling call with its strides hoisted.
+type pooler struct {
+	cfg        PoolConfig
+	outH, outW int
+	in, out    strided
+}
+
+// window reduces the window whose top-left input element is at offset q:
+// the maximum (first-seen on ties), or the float64 mean in y→x order.
+func (pl *pooler) window(q int) float32 {
+	in, win := &pl.in, pl.cfg.Window
+	if pl.cfg.Op == MaxPool {
+		best := in.data[q]
+		for y := 0; y < win; y++ {
+			r := q + y*in.h
+			for x := 0; x < win; x++ {
+				if v := in.data[r]; v > best {
 					best = v
 				}
+				r += in.w
 			}
 		}
 		return best
-	default: // AvgPool
-		var sum float64
-		for y := 0; y < cfg.Window; y++ {
-			for x := 0; x < cfg.Window; x++ {
-				sum += float64(in.At(n, c, h0+y, w0+x))
-			}
+	}
+	var sum float64
+	for y := 0; y < win; y++ {
+		r := q + y*in.h
+		for x := 0; x < win; x++ {
+			sum += float64(in.data[r])
+			r += in.w
 		}
-		return float32(sum / float64(cfg.Window*cfg.Window))
+	}
+	return float32(sum / float64(win*win))
+}
+
+// plane computes the (n, c) output feature map.
+func (pl pooler) plane(p int) {
+	in, out, s := &pl.in, &pl.out, pl.cfg.Stride
+	n, c := p/pl.cfg.C, p%pl.cfg.C
+	for oh := 0; oh < pl.outH; oh++ {
+		for ow := 0; ow < pl.outW; ow++ {
+			out.data[n*out.n+c*out.c+oh*out.h+ow*out.w] =
+				pl.window(n*in.n + c*in.c + oh*s*in.h + ow*s*in.w)
+		}
 	}
 }
 

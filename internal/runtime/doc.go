@@ -42,8 +42,10 @@
 //	                        memory-efficiency story measurable.
 //	execute (executor.go, pool.go, device.go) — run the compiled program on
 //	                        arena-backed tensor views recycled through a
-//	                        sync.Pool, using the recorded convolution
-//	                        algorithm, layers.WorkspaceForwarder/IntoForwarder
+//	                        free list that a GC cannot empty (so the arena
+//	                        count equals peak concurrency), using the
+//	                        recorded convolution algorithm,
+//	                        layers.WorkspaceForwarder/IntoForwarder
 //	                        where available, and falling back to Forward plus
 //	                        a copy elsewhere.  Steady-state runs allocate no
 //	                        tensors or scratch slices.  Every op dispatches

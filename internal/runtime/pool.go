@@ -59,25 +59,19 @@ func newInstance(p *Program) (*Instance, error) {
 	return inst, nil
 }
 
-// Pool recycles program instances across requests and workers.  It is backed
-// by a sync.Pool, so idle instances can still be reclaimed under memory
-// pressure while a loaded server reuses a small working set of arenas.
+// Pool recycles program instances across requests and workers.  It keeps a
+// mutex-guarded free list of idle instances: unlike a sync.Pool, a garbage
+// collection never empties it, so a loaded server allocates each arena once
+// and the number of arenas equals the peak number of concurrent runs.
 type Pool struct {
 	prog *Program
-	pool sync.Pool
+	mu   sync.Mutex
+	free []*Instance
 }
 
 // NewPool builds an instance pool for a compiled program.
 func NewPool(p *Program) *Pool {
-	pl := &Pool{prog: p}
-	pl.pool.New = func() any {
-		inst, err := newInstance(p)
-		if err != nil {
-			return err
-		}
-		return inst
-	}
-	return pl
+	return &Pool{prog: p}
 }
 
 // Get returns an instance, reusing a previously released one when available.
@@ -86,19 +80,24 @@ func NewPool(p *Program) *Pool {
 // memory plan cannot be instantiated — impossible for compiler-built
 // programs, which are validated at construction.
 func (pl *Pool) Get() (*Instance, error) {
-	switch v := pl.pool.Get().(type) {
-	case *Instance:
-		return v, nil
-	case error:
-		return nil, v
-	default:
-		return nil, fmt.Errorf("runtime: instance pool returned %T", v)
+	pl.mu.Lock()
+	if n := len(pl.free); n > 0 {
+		inst := pl.free[n-1]
+		pl.free[n-1] = nil
+		pl.free = pl.free[:n-1]
+		pl.mu.Unlock()
+		return inst, nil
 	}
+	pl.mu.Unlock()
+	return newInstance(pl.prog)
 }
 
 // Put releases an instance for reuse.
 func (pl *Pool) Put(i *Instance) {
-	if i != nil && i.prog == pl.prog {
-		pl.pool.Put(i)
+	if i == nil || i.prog != pl.prog {
+		return
 	}
+	pl.mu.Lock()
+	pl.free = append(pl.free, i)
+	pl.mu.Unlock()
 }
